@@ -87,14 +87,23 @@ def profile_analytically(
     for label in labels:
         if label not in order:
             order.append(label)
+    # Resolve every in-edge probability once: (label, entry term, in-edges).
+    plan = [
+        (
+            label,
+            entries if label == entry else 0.0,
+            [(pred, cfg.block(pred).edge_probs.get(label, 0.0)) for pred in preds[label]],
+        )
+        for label in order
+    ]
     for _ in range(max_sweeps):
         delta = 0.0
-        for label in order:
-            total = entries if label == entry else 0.0
-            for pred in preds[label]:
-                prob = cfg.block(pred).edge_probs.get(label, 0.0)
+        for label, total, inflow in plan:
+            for pred, prob in inflow:
                 total += counts[pred] * prob
-            delta = max(delta, abs(total - counts[label]))
+            change = abs(total - counts[label])
+            if change > delta:
+                delta = change
             counts[label] = total
         if delta < tolerance:
             break

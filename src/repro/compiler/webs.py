@@ -7,25 +7,33 @@ partitioning (Section 3.5) and register allocation (Section 3.4).  Distinct
 webs of the same source-level value are independent and may land in
 different clusters or registers.
 
-Implementation: reaching-definitions dataflow at (value, defining
-instruction) granularity, then union-find merging every pair of definitions
-that reach a common use.  Values that are live into the program entry
-(e.g. the stack pointer, which is never defined) get a synthetic entry
-definition so they still form a web.
+Implementation: a sparse reaching-definitions pass keyed by value id, then
+union-find merging every pair of definitions that reach a common use.  The
+pass is a block worklist in which a definition propagates into a successor
+only where its value is live-in (liveness from
+:class:`~repro.compiler.liveness.LivenessInfo`).  The pruning is exact: a
+definition reaches a use only along a redefinition-free path ending at that
+use, and the value is live at every point of such a path, so every use sees
+the same definitions as in a dense pass over all values.  Values that are
+live into the program entry (e.g. the stack pointer, which is never
+defined) get a synthetic entry definition so they still form a web; a use
+that no definition reaches (only possible in unreachable code) gets one
+too.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import defaultdict, deque
 from typing import Iterable
 
+from repro.compiler.liveness import LivenessInfo
 from repro.ir.live_range import LiveRangeSet
 from repro.ir.program import ILProgram
 from repro.ir.values import ILValue
 
-#: Synthetic uid for the program-entry definition of value ``v``.
-def _entry_def(value: ILValue) -> int:
-    return -1 - value.vid
+#: Synthetic uid for the program-entry definition of value id ``vid``.
+def _entry_def(vid: int) -> int:
+    return -1 - vid
 
 
 class _UnionFind:
@@ -46,6 +54,52 @@ class _UnionFind:
             self.parent[rb] = ra
 
 
+def _reaching_defs(program: ILProgram) -> dict[str, dict[int, set[int]]]:
+    """Definitions reaching each block entry, per live-in value id."""
+    cfg = program.cfg
+    labels = cfg.labels()
+    liveness = LivenessInfo(program)
+    live_in = {label: [v.vid for v in liveness.live_in(label)] for label in labels}
+
+    # Only the last definition of a value in a block can leave the block;
+    # earlier ones are resolved by the in-block walk.
+    gen: dict[str, dict[int, set[int]]] = {}
+    for label in labels:
+        last: dict[int, set[int]] = {}
+        for instr in cfg.block(label).instructions:
+            if instr.dest is not None:
+                last[instr.dest.vid] = {instr.uid}
+        gen[label] = last
+
+    reach_in: dict[str, dict[int, set[int]]] = {label: {} for label in labels}
+    entry = cfg.entry_label
+    if entry is not None:
+        reach_in[entry] = {vid: {_entry_def(vid)} for vid in live_in[entry]}
+
+    order = cfg.reverse_postorder()
+    reachable = set(order)
+    order += [label for label in labels if label not in reachable]
+    worklist = deque(order)
+    queued = set(order)
+    while worklist:
+        label = worklist.popleft()
+        queued.discard(label)
+        rin = reach_in[label]
+        block_gen = gen[label]
+        for succ in cfg.block(label).succ_labels:
+            sin = reach_in[succ]
+            grew = False
+            for vid in live_in[succ]:
+                out = block_gen.get(vid) or rin.get(vid)
+                if out and not out <= sin.setdefault(vid, set()):
+                    sin[vid] |= out
+                    grew = True
+            if grew and succ not in queued:
+                worklist.append(succ)
+                queued.add(succ)
+    return reach_in
+
+
 def build_live_ranges(program: ILProgram) -> LiveRangeSet:
     """Construct the live ranges (webs) of ``program``.
 
@@ -53,55 +107,7 @@ def build_live_ranges(program: ILProgram) -> LiveRangeSet:
     """
     cfg = program.cfg
     labels = cfg.labels()
-
-    # Per-block: gen = defs reaching block end; kill handled implicitly by
-    # tracking only the *last* def of each value per block plus earlier defs
-    # that reach a use before being killed (those never leave the block).
-    gen: dict[str, dict[ILValue, set[int]]] = {}
-    for label in labels:
-        block = cfg.block(label)
-        last: dict[ILValue, set[int]] = {}
-        for instr in block.instructions:
-            if instr.dest is not None:
-                last[instr.dest] = {instr.uid}
-        gen[label] = last
-
-    # Forward dataflow of reaching defs per value.
-    reach_in: dict[str, dict[ILValue, set[int]]] = {
-        label: defaultdict(set) for label in labels
-    }
-    reach_out: dict[str, dict[ILValue, set[int]]] = {
-        label: defaultdict(set) for label in labels
-    }
-    entry = cfg.entry_label
-    if entry is not None:
-        for value in program.values:
-            reach_in[entry][value].add(_entry_def(value))
-
-    preds = cfg.predecessor_map()
-    order = cfg.reverse_postorder()
-    for label in labels:
-        if label not in order:
-            order.append(label)
-
-    changed = True
-    while changed:
-        changed = False
-        for label in order:
-            rin = reach_in[label]
-            for pred in preds[label]:
-                for value, defs in reach_out[pred].items():
-                    before = len(rin[value])
-                    rin[value] |= defs
-                    if len(rin[value]) != before:
-                        changed = True
-            rout = reach_out[label]
-            block_gen = gen[label]
-            for value in set(rin) | set(block_gen):
-                new = block_gen.get(value) or rin.get(value, set())
-                if new != rout.get(value, set()):
-                    rout[value] = set(new)
-                    changed = True
+    reach_in = _reaching_defs(program)
 
     # Walk blocks, merging defs that reach a common use.
     uf = _UnionFind()
@@ -109,21 +115,19 @@ def build_live_ranges(program: ILProgram) -> LiveRangeSet:
     real_defs: set[tuple[int, int]] = set()
     for label in labels:
         block = cfg.block(label)
-        current: dict[ILValue, set[int]] = {
-            v: set(defs) for v, defs in reach_in[label].items()
-        }
+        current: dict[int, set[int]] = dict(reach_in[label])
         for instr in block.instructions:
             for src in instr.srcs:
-                defs = current.get(src)
+                defs = current.get(src.vid)
                 if not defs:
-                    defs = {_entry_def(src)}
-                    current[src] = defs
+                    defs = {_entry_def(src.vid)}
+                    current[src.vid] = defs
                 keys = [(d, src.vid) for d in defs]
                 for other in keys[1:]:
                     uf.union(keys[0], other)
                 use_attach[(instr.uid, src)] = keys[0]
             if instr.dest is not None:
-                current[instr.dest] = {instr.uid}
+                current[instr.dest.vid] = {instr.uid}
                 real_defs.add((instr.uid, instr.dest.vid))
                 uf.find((instr.uid, instr.dest.vid))  # register in the forest
 
