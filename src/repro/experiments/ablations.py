@@ -21,7 +21,11 @@ from repro.core.partition import (
     RoundRobinPartitioner,
 )
 from repro.core.registers import RegisterAssignment
-from repro.experiments.harness import BenchmarkEvaluation, EvaluationOptions
+from repro.experiments.harness import (
+    BenchmarkEvaluation,
+    EvaluationOptions,
+    evaluate_workload_retrying,
+)
 from repro.uarch.config import (
     dual_cluster_2way_config,
     dual_cluster_config,
@@ -72,6 +76,14 @@ def _point_from(label: str, ev: BenchmarkEvaluation) -> AblationPoint:
     )
 
 
+def _point_task(item: tuple[Workload, EvaluationOptions]) -> BenchmarkEvaluation:
+    """One labelled sweep point's full evaluation (worker-safe)."""
+    from repro.perf.executor import _worker_cache
+
+    workload, options = item
+    return evaluate_workload_retrying(workload, options, cache=_worker_cache())
+
+
 def _points(
     tasks: list[tuple[str, Workload, EvaluationOptions]],
     jobs: int,
@@ -88,41 +100,21 @@ def _points(
     options fingerprint (ablation points deliberately differ in options,
     so a changed sweep parameter invalidates exactly the changed rows).
     """
-    from repro.perf.parallel import evaluate_many
+    from repro.perf.parallel import journaled_map
+    from repro.robustness.journal import options_fingerprint
 
-    fingerprints: list[str] = []
-    evaluations: list[Optional[BenchmarkEvaluation]] = [None] * len(tasks)
-    pending = list(range(len(tasks)))
-    if journal is not None:
-        from repro.robustness.journal import options_fingerprint
-
-        fingerprints = [options_fingerprint(options) for _, _, options in tasks]
-        pending = []
-        for i, (label, _, _) in enumerate(tasks):
-            reused = journal.load_artifact(
-                journal.completed(f"{sweep}:{label}", fingerprints[i])
-            )
-            if isinstance(reused, BenchmarkEvaluation):
-                evaluations[i] = reused
-            else:
-                pending.append(i)
-
-    def on_result(j: int, ev: BenchmarkEvaluation) -> None:
-        i = pending[j]
-        evaluations[i] = ev
-        if journal is not None:
-            journal.record_completed(
-                f"{sweep}:{tasks[i][0]}", fingerprints[i], artifact_value=ev
-            )
-
-    if pending:
-        evaluate_many(
-            [(tasks[i][1], tasks[i][2]) for i in pending],
-            jobs=jobs,
-            on_result=on_result,
-        )
+    evaluations, _ = journaled_map(
+        _point_task,
+        [(workload, options) for _, workload, options in tasks],
+        [
+            (f"{sweep}:{label}", options_fingerprint(options))
+            for label, _, options in tasks
+        ],
+        journal=journal,
+        jobs=jobs,
+    )
     return [
-        _point_from(label, evaluations[i]) for i, (label, _, _) in enumerate(tasks)
+        _point_from(label, ev) for (label, _, _), ev in zip(tasks, evaluations)
     ]
 
 
@@ -279,7 +271,8 @@ def run_queue_size_ablation(
     queue size, exposing how much queue depth costs or buys on a workload.
     """
     from repro.compiler.pipeline import compile_program
-    from repro.perf.parallel import parallel_map
+    from repro.perf.fingerprint import fingerprint
+    from repro.perf.parallel import journaled_map
     from repro.workloads.tracegen import TraceGenerator
 
     workload = build()
@@ -288,36 +281,20 @@ def run_queue_size_ablation(
         native.machine, workload.streams, workload.behaviors, seed=7
     ).generate(trace_length)
 
-    points: dict[int, QueueSizePoint] = {}
-    pending = list(queue_sizes)
-    fingerprints: dict[int, str] = {}
-    if journal is not None:
-        from repro.perf.fingerprint import fingerprint
-
-        fingerprints = {
-            n: fingerprint(("queue-size/v1", workload.name, trace_length, n))
+    points, _ = journaled_map(
+        _queue_size_task,
+        [(entries, trace) for entries in queue_sizes],
+        [
+            (
+                f"queue-size:entries={n}",
+                fingerprint(("queue-size/v1", workload.name, trace_length, n)),
+            )
             for n in queue_sizes
-        }
-        pending = []
-        for n in queue_sizes:
-            reused = journal.load_artifact(
-                journal.completed(f"queue-size:entries={n}", fingerprints[n])
-            )
-            if isinstance(reused, QueueSizePoint):
-                points[n] = reused
-            else:
-                pending.append(n)
-
-    rows = parallel_map(
-        _queue_size_task, [(entries, trace) for entries in pending], jobs=jobs
+        ],
+        journal=journal,
+        jobs=jobs,
     )
-    for n, row in zip(pending, rows):
-        points[n] = row
-        if journal is not None:
-            journal.record_completed(
-                f"queue-size:entries={n}", fingerprints[n], artifact_value=row
-            )
-    return QueueSizeResult(workload.name, [points[n] for n in queue_sizes])
+    return QueueSizeResult(workload.name, points)
 
 
 @dataclass

@@ -120,35 +120,20 @@ def run_figure6_sweep(
     resumable: journaled thresholds are reused verbatim and only missing
     points are recomputed.
     """
-    from repro.perf.parallel import parallel_map
+    from repro.perf.fingerprint import fingerprint
+    from repro.perf.parallel import journaled_map
 
-    results: dict[int, Figure6Result] = {}
-    pending = list(thresholds)
-    fingerprints: dict[int, str] = {}
-    if journal is not None:
-        from repro.perf.fingerprint import fingerprint
-
-        fingerprints = {
-            t: fingerprint(("figure6/v1", t)) for t in thresholds
-        }
-        pending = []
-        for t in thresholds:
-            reused = journal.load_artifact(
-                journal.completed(f"figure6:threshold={t}", fingerprints[t])
-            )
-            if isinstance(reused, Figure6Result):
-                results[t] = reused
-            else:
-                pending.append(t)
-
-    computed = parallel_map(run_figure6, pending, jobs=jobs)
-    for t, result in zip(pending, computed):
-        results[t] = result
-        if journal is not None:
-            journal.record_completed(
-                f"figure6:threshold={t}", fingerprints[t], artifact_value=result
-            )
-    return [(t, results[t]) for t in thresholds]
+    results, _ = journaled_map(
+        run_figure6,
+        thresholds,
+        [
+            (f"figure6:threshold={t}", fingerprint(("figure6/v1", t)))
+            for t in thresholds
+        ],
+        journal=journal,
+        jobs=jobs,
+    )
+    return list(zip(thresholds, results))
 
 
 def main() -> None:  # pragma: no cover - CLI convenience

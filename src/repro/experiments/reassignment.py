@@ -150,42 +150,22 @@ def run_reassignment_demo(
     (:class:`~repro.robustness.journal.RunJournal`) journals each
     machine's simulation result, so an interrupted demo resumes with only
     the missing machines recomputed."""
-    from repro.perf.parallel import parallel_map
+    from repro.perf.fingerprint import fingerprint
+    from repro.perf.parallel import journaled_map
 
     machines = ["even_odd", "low_high", "dynamic"]
-    sims: dict[str, object] = {}
-    pending = list(machines)
-    fingerprints: dict[str, str] = {}
-    if journal is not None:
-        from repro.perf.fingerprint import fingerprint
-
-        fingerprints = {
-            which: fingerprint(("reassignment/v1", phase_length, which))
-            for which in machines
-        }
-        pending = []
-        for which in machines:
-            reused = journal.load_artifact(
-                journal.completed(f"reassignment:{which}", fingerprints[which])
-            )
-            if reused is not None:
-                sims[which] = reused
-            else:
-                pending.append(which)
-
-    computed = parallel_map(
+    (even_odd, low_high, dynamic), _ = journaled_map(
         _reassignment_task,
-        [(phase_length, which) for which in pending],
-        jobs=jobs,
-    )
-    for which, sim in zip(pending, computed):
-        sims[which] = sim
-        if journal is not None:
-            journal.record_completed(
-                f"reassignment:{which}", fingerprints[which], artifact_value=sim
+        [(phase_length, which) for which in machines],
+        [
+            (
+                f"reassignment:{which}",
+                fingerprint(("reassignment/v1", phase_length, which)),
             )
-    even_odd, low_high, dynamic = (
-        sims["even_odd"], sims["low_high"], sims["dynamic"],
+            for which in machines
+        ],
+        journal=journal,
+        jobs=jobs,
     )
 
     return ReassignmentResult(

@@ -17,10 +17,11 @@ trajectory and frontier files.  Every trial is journaled
 ``(point slug, rung trace length)`` and fingerprinted over the point and
 every value-determining setting — a search killed mid-run and resumed
 with ``--resume`` replays completed trials from the journal and lands on
-the *same bytes* as an uninterrupted run.  Fan-out rides
-:func:`repro.perf.parallel.parallel_map`; workers return the same
-JSON-native payloads the journal stores, so the parallel path cannot
-drift from the serial one.
+the *same bytes* as an uninterrupted run.  Serial and ``--jobs`` runs
+share one path, :func:`repro.perf.parallel.journaled_map` over
+:func:`repro.gym.fitness._trial_task`: every trial, in-process or in a
+worker, is the same JSON-native payload the journal stores, so the
+paths cannot drift.
 """
 
 from __future__ import annotations
@@ -35,9 +36,8 @@ from repro.gym.fitness import (
     Baseline,
     GymSettings,
     TrialResult,
+    _baseline_task,
     _trial_task,
-    compute_baseline,
-    evaluate_point,
     trial_fingerprint,
     trial_key,
 )
@@ -45,7 +45,7 @@ from repro.gym.pareto import pareto_frontier
 from repro.gym.space import DesignPoint, DesignSpace
 from repro.obs.metrics import MetricsRegistry
 from repro.perf.cache import ArtifactCache
-from repro.perf.parallel import parallel_map
+from repro.perf.parallel import journaled_map
 from repro.robustness.journal import RunJournal
 
 DRIVERS = ("random", "grid", "evolutionary", "halving")
@@ -176,51 +176,23 @@ class _Evaluator:
     ) -> list[TrialResult]:
         """Evaluate a batch in order; journal hits skip simulation."""
         settings = settings or self.settings
-        baseline = self.baseline_for(settings)
-        results: list[Optional[TrialResult]] = [None] * len(points)
-        missing: list[int] = []
-        for i, point in enumerate(points):
-            entry = None
-            if self.journal is not None:
-                entry = self.journal.completed(
-                    trial_key(point, settings), trial_fingerprint(point, settings)
-                )
-            if entry is not None and entry.payload is not None:
-                results[i] = TrialResult.from_dict(entry.payload)
-                self.journal_hits += 1
-            else:
-                missing.append(i)
-
-        if missing:
-            items = [
-                (points[i].as_dict(), settings, baseline.as_dict())
-                for i in missing
-            ]
-            if self.jobs > 1:
-                payloads = parallel_map(
-                    _trial_task, items, jobs=self.jobs, cache_dir=self.cache.cache_dir
-                )
-                fresh = [TrialResult.from_dict(p) for p in payloads]
-            else:
-                fresh = [
-                    evaluate_point(points[i], settings, baseline, self.cache)
-                    for i in missing
-                ]
-            for i, trial in zip(missing, fresh):
-                results[i] = trial
-                if self.journal is not None:
-                    self.journal.record_completed(
-                        trial_key(points[i], settings),
-                        trial_fingerprint(points[i], settings),
-                        payload=trial.as_dict(),
-                    )
-
-        out: list[TrialResult] = []
-        for trial in results:
-            assert trial is not None
+        baseline = self.baseline_for(settings).as_dict()
+        payloads, hits = journaled_map(
+            _trial_task,
+            [(point.as_dict(), settings, baseline) for point in points],
+            [
+                (trial_key(point, settings), trial_fingerprint(point, settings))
+                for point in points
+            ],
+            journal=self.journal,
+            jobs=self.jobs,
+            cache=self.cache,
+        )
+        self.journal_hits += hits
+        out = [TrialResult.from_dict(payload) for payload in payloads]
+        for trial in out:
             self.trials.append((self._index, generation, trial))
             self._index += 1
-            out.append(trial)
         self._record_generation(generation, out)
         self._emit_spans(generation, settings, out)
         return out
@@ -463,13 +435,11 @@ def _baseline_journaled(
     cache: ArtifactCache,
     journal: Optional[RunJournal],
 ) -> Baseline:
-    key = f"gym:baseline:L{settings.trace_length}"
-    fp = settings.settings_fingerprint
-    if journal is not None:
-        entry = journal.completed(key, fp)
-        if entry is not None and entry.payload is not None:
-            return Baseline.from_dict(entry.payload)
-    baseline = compute_baseline(settings, cache)
-    if journal is not None:
-        journal.record_completed(key, fp, payload=baseline.as_dict())
-    return baseline
+    (payload,), _ = journaled_map(
+        _baseline_task,
+        [settings],
+        [(f"gym:baseline:L{settings.trace_length}", settings.settings_fingerprint)],
+        journal=journal,
+        cache=cache,
+    )
+    return Baseline.from_dict(payload)

@@ -281,10 +281,12 @@ def trial_fingerprint(point: DesignPoint, settings: GymSettings) -> str:
 
 
 def _trial_task(item: tuple[dict, GymSettings, dict]) -> dict:
-    """Module-level unit of work for :func:`repro.perf.parallel.parallel_map`.
+    """One trial as a :func:`repro.perf.parallel.journaled_map` task.
 
-    Ships JSON-native payloads both ways so worker results are exactly
-    what the journal stores (the parallel and serial paths cannot drift).
+    The single path for serial and ``--jobs`` searches: JSON-native
+    payloads both ways, so every result — in-process or from a worker —
+    is exactly what the journal stores inline.  The artifact cache is the
+    map's task cache (the caller's cache when run in-process).
     """
     from repro.perf.executor import _worker_cache
 
@@ -296,6 +298,14 @@ def _trial_task(item: tuple[dict, GymSettings, dict]) -> dict:
         cache=_worker_cache(),
     )
     return result.as_dict()
+
+
+def _baseline_task(settings: GymSettings) -> dict:
+    """The rung baseline as a :func:`repro.perf.parallel.journaled_map`
+    task (JSON-native, journaled inline like a trial)."""
+    from repro.perf.executor import _worker_cache
+
+    return compute_baseline(settings, _worker_cache()).as_dict()
 
 
 #: The paper's single-cluster machine as a gym baseline sanity check:

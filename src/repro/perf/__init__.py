@@ -13,7 +13,9 @@ deterministically reproducible inputs.  This package exploits both axes:
   compilation results and generated traces, with in-memory and on-disk
   tiers plus hit/miss counters;
 * :mod:`repro.perf.parallel` — the process-pool sweep engine behind
-  ``--jobs N`` (Table 2, ablations, Figure 6 sweeps, reassignment);
+  ``--jobs N``: Table 2's executor-based sweep, and ``journaled_map``,
+  the one reuse/fan-out/journal loop every other sweep (ablations,
+  Figure 6, reassignment, the gym) runs through;
 * :mod:`repro.perf.executor` — the ``SweepExecutor`` interface under
   the sweep engine: the trusting process pool plus the supervised pool
   (per-task deadlines, re-dispatch of lost tasks, circuit breaker);
@@ -36,9 +38,8 @@ _EXPORTS = {
     "default_cache_dir": "repro.perf.cache",
     "compile_key": "repro.perf.cache",
     "trace_key": "repro.perf.cache",
-    "parallel_map": "repro.perf.parallel",
+    "journaled_map": "repro.perf.parallel",
     "resolve_jobs": "repro.perf.parallel",
-    "evaluate_many": "repro.perf.parallel",
     "run_table2_parallel": "repro.perf.parallel",
     "EXECUTOR_KINDS": "repro.perf.executor",
     "ExecutorDegradation": "repro.perf.executor",

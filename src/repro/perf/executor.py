@@ -66,6 +66,7 @@ import queue
 import signal
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from typing import Any, Callable, Optional
 
@@ -144,6 +145,20 @@ def _worker_cache() -> ArtifactCache:
     if _WORKER_CACHE is None:
         _WORKER_CACHE = ArtifactCache()
     return _WORKER_CACHE
+
+
+@contextmanager
+def _task_cache(cache: Optional[ArtifactCache]):
+    """Make ``cache`` (a fresh one when ``None``) what
+    :func:`_worker_cache` returns for the duration: a task run in-process
+    uses the caller's cache where a pool task uses its worker's."""
+    global _WORKER_CACHE
+    previous = _WORKER_CACHE
+    _WORKER_CACHE = cache if cache is not None else ArtifactCache()
+    try:
+        yield
+    finally:
+        _WORKER_CACHE = previous
 
 
 def _ensure_worker_cache(cache_dir) -> None:

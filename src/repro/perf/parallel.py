@@ -7,6 +7,15 @@ worker from ``(benchmark name, part, options)`` — every stage is seeded
 and deterministic, so results are bit-identical to the serial path, and
 nothing but small inputs and final results crosses the process boundary.
 
+Every other sweep — the ablations, the queue-size study, the Figure 6
+threshold walk-through, the reassignment demo, and the design-space
+gym — is a list of independent seeded points, and runs through one
+function, :func:`journaled_map`: reuse each journaled point, compute
+the rest (in-process or on a worker pool), and journal each result the
+moment it lands.  Table 2 keeps its own executor-based path
+(:func:`run_table2_parallel`) for its failure-record, replay-bundle,
+heartbeat and span contract.
+
 Design notes:
 
 * Workers fork from the parent (where the platform supports it), so
@@ -47,11 +56,11 @@ from __future__ import annotations
 
 import os
 import signal
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, wait
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import replace
-from typing import Any, Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
 
 from repro.errors import ConfigError, ReproError, SweepInterrupted
 from repro.experiments.harness import (
@@ -62,15 +71,18 @@ from repro.experiments.harness import (
     PartOutcome,
     assemble_evaluation,
     evaluate_part_with_retry,
-    evaluate_workload_retrying,
 )
 from repro.perf.cache import ArtifactCache
 from repro.perf.executor import (
     SweepTask,
     _pool,
+    _task_cache,
     _worker_cache,
     make_sweep_executor,
 )
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.robustness.journal import RunJournal
 
 #: Hard ceiling on explicit ``--jobs`` relative to the machine: beyond
 #: this the request is a typo (e.g. ``--jobs 1200`` for ``--jobs 12``),
@@ -132,13 +144,8 @@ def sweep_signals():
             signal.signal(sig, handler)
 
 
-def _interrupted(pool: ProcessPoolExecutor, futures, cause: str) -> SweepInterrupted:
-    """Orderly shutdown after an interrupt; returns the error to raise."""
-    cancelled = 0
-    for future in futures:
-        if future.cancel():
-            cancelled += 1
-    pool.shutdown(wait=True, cancel_futures=True)
+def _sweep_interrupted(cause: str, cancelled: int) -> SweepInterrupted:
+    """The error an orderly post-interrupt shutdown raises."""
     return SweepInterrupted(
         "sweep interrupted; completed rows are journaled and the run is "
         "resumable with --resume",
@@ -147,35 +154,78 @@ def _interrupted(pool: ProcessPoolExecutor, futures, cause: str) -> SweepInterru
     )
 
 
-def _executor_interrupted(executor, cause: str) -> SweepInterrupted:
-    """Orderly executor shutdown after an interrupt; returns the error."""
-    cancelled = executor.cancel()
-    return SweepInterrupted(
-        "sweep interrupted; completed rows are journaled and the run is "
-        "resumable with --resume",
-        cause=cause,
-        cancelled_units=cancelled,
-    )
-
-
-def parallel_map(
+def journaled_map(
     fn: Callable[[Any], Any],
     items: Sequence[Any],
+    keys: Sequence[tuple[str, str]],
+    *,
+    journal: Optional["RunJournal"] = None,
     jobs: int = 1,
-    cache_dir=None,
-) -> list[Any]:
-    """Ordered map over ``items``, serial for ``jobs == 1`` or short input.
+    cache: Optional[ArtifactCache] = None,
+) -> tuple[list[Any], int]:
+    """Ordered, journaled map of ``fn`` over ``items``.
+
+    ``keys[i]`` is item ``i``'s ``(journal key, content fingerprint)``.
+    A completed journal entry with a matching fingerprint is reused
+    verbatim; every other item is computed — in-process for ``jobs <= 1``
+    or a single missing item, otherwise on a worker pool — and journaled
+    the moment it completes, so an interrupt loses at most the in-flight
+    items.  JSON-native ``dict`` results are journaled inline as the
+    entry's ``payload``; anything richer is pickled under ``artifacts/``.
 
     ``fn`` must be a module-level callable (workers import it by name).
+    Tasks that need an artifact cache take it from
+    :func:`repro.perf.executor._worker_cache`: in-process that is
+    ``cache`` (a fresh one per item when ``None``), in a worker it is the
+    worker's own cache over ``cache.cache_dir``.  Task errors propagate; an
+    interrupt during a pool run raises
+    :class:`~repro.errors.SweepInterrupted` after every finished item is
+    journaled.
+
+    Returns ``(results in item order, number reused from the journal)``.
     """
     jobs = resolve_jobs(jobs)
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
+    results: list[Any] = [None] * len(items)
+    pending = []
+    for i, (key, fp) in enumerate(keys):
+        if journal is not None:
+            entry = journal.completed(key, fp)
+            if entry is not None and entry.payload is not None:
+                results[i] = entry.payload
+            else:
+                # None for a missing entry or a damaged artifact: recompute.
+                results[i] = journal.load_artifact(entry)
+        if results[i] is None:
+            pending.append(i)
+
+    def record(i: int, value: Any) -> None:
+        results[i] = value
+        if journal is not None:
+            key, fp = keys[i]
+            if isinstance(value, dict):
+                journal.record_completed(key, fp, payload=value)
+            else:
+                journal.record_completed(key, fp, artifact_value=value)
+
+    if jobs <= 1 or len(pending) <= 1:
+        for i in pending:
+            with _task_cache(cache):
+                record(i, fn(items[i]))
+        return results, len(items) - len(pending)
+    cache_dir = cache.cache_dir if cache is not None else None
     with _pool(jobs, cache_dir) as pool, sweep_signals():
+        index_of = {pool.submit(fn, items[i]): i for i in pending}
+        waiting = set(index_of)
         try:
-            return list(pool.map(fn, items))
+            while waiting:
+                done, waiting = wait(waiting, return_when=FIRST_COMPLETED)
+                for future in done:
+                    record(index_of[future], future.result())
         except (KeyboardInterrupt, BrokenProcessPool) as error:
-            raise _interrupted(pool, (), type(error).__name__) from None
+            cancelled = sum(future.cancel() for future in waiting)
+            pool.shutdown(wait=True, cancel_futures=True)
+            raise _sweep_interrupted(type(error).__name__, cancelled) from None
+    return results, len(items) - len(pending)
 
 
 # ------------------------------------------------------------- Table 2 sweep
@@ -297,7 +347,9 @@ def run_table2_parallel(
                     if all((name, p) in results for p in PARTS):
                         _finish_benchmark(name)
         except (KeyboardInterrupt, BrokenProcessPool) as error:
-            raise _executor_interrupted(executor, type(error).__name__) from None
+            raise _sweep_interrupted(
+                type(error).__name__, executor.cancel()
+            ) from None
     if on_event is not None:
         # The distributed coordinator's cascade can degrade more than
         # once (remote -> supervised -> serial); journal every step.
@@ -316,59 +368,3 @@ def run_table2_parallel(
 
     failures = [failures_by_name[n] for n in names if n in failures_by_name]
     return evaluations, failures
-
-
-# --------------------------------------------------------- generic eval fan
-def _evaluate_task(item: tuple[Any, EvaluationOptions]) -> BenchmarkEvaluation:
-    workload, options = item
-    return evaluate_workload_retrying(workload, options, cache=_worker_cache())
-
-
-def evaluate_many(
-    tasks: Sequence[tuple[Any, EvaluationOptions]],
-    jobs: int = 1,
-    cache: Optional[ArtifactCache] = None,
-    on_result: Optional[Callable[[int, BenchmarkEvaluation], None]] = None,
-) -> list[BenchmarkEvaluation]:
-    """Evaluate ``(workload, options)`` pairs, optionally across workers.
-
-    Used by the ablation and Figure 6 sweeps, whose points are fully
-    formed workloads rather than registry names.  Errors propagate (these
-    sweeps have no per-row degradation contract), but each point runs
-    under the options' retry policy first.  ``on_result(index, result)``
-    fires per completed point — again the journaling hook — and
-    interrupts raise :class:`~repro.errors.SweepInterrupted` after the
-    completed points are delivered.
-    """
-    jobs = resolve_jobs(jobs)
-    if jobs <= 1 or len(tasks) <= 1:
-        out = []
-        for index, (workload, options) in enumerate(tasks):
-            result = evaluate_workload_retrying(workload, options, cache=cache)
-            if on_result is not None:
-                on_result(index, result)
-            out.append(result)
-        return out
-    cache_dir = cache.cache_dir if cache is not None else None
-    items = [
-        (workload, replace(options, jobs=1, cache=None))
-        for workload, options in tasks
-    ]
-    results: list[Optional[BenchmarkEvaluation]] = [None] * len(items)
-    with _pool(jobs, cache_dir) as pool, sweep_signals():
-        future_index = {
-            pool.submit(_evaluate_task, item): index
-            for index, item in enumerate(items)
-        }
-        pending = set(future_index)
-        try:
-            while pending:
-                done, pending = wait(pending, return_when=FIRST_COMPLETED)
-                for future in done:
-                    index = future_index[future]
-                    results[index] = future.result()
-                    if on_result is not None:
-                        on_result(index, results[index])
-        except (KeyboardInterrupt, BrokenProcessPool) as error:
-            raise _interrupted(pool, pending, type(error).__name__) from None
-    return results  # type: ignore[return-value]

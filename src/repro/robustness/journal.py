@@ -2,8 +2,10 @@
 
 A sweep that dies — SIGKILL, OOM, power loss — must not throw away its
 completed rows.  Every sweep driver (Table 2, ablations, Figure 6,
-reassignment, chaos) can attach a :class:`RunJournal` rooted at a *run
-directory*::
+reassignment, the gym, chaos) can attach a :class:`RunJournal` rooted at
+a *run directory*.  Table 2 journals through its own sweep driver; every
+other sweep reaches the journal only through
+:func:`repro.perf.parallel.journaled_map`::
 
     run-dir/
         journal.jsonl          one JSON record per completed/failed row,
@@ -356,7 +358,7 @@ class RunJournal:
             with (self.run_dir / entry.artifact).open("rb") as fh:
                 return pickle.load(fh)
         except (OSError, pickle.UnpicklingError, EOFError, AttributeError,
-                ImportError, IndexError):
+                ImportError, IndexError, ValueError):
             return None
 
     # --------------------------------------------------------------- paths

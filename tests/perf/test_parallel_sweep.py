@@ -1,5 +1,7 @@
 """The --jobs sweep engine: bit-identity, degradation, driver parity."""
 
+import copy
+
 import pytest
 
 from repro.errors import CompileError, ConfigError
@@ -9,7 +11,8 @@ from repro.experiments.harness import EvaluationOptions
 from repro.experiments.reassignment import run_reassignment_demo
 from repro.experiments.table2 import run_table2
 from repro.perf.cache import ArtifactCache
-from repro.perf.parallel import parallel_map, resolve_jobs
+from repro.perf.parallel import journaled_map, resolve_jobs
+from repro.robustness.journal import RunJournal
 from repro.workloads import spec92
 
 TL = 1200
@@ -60,12 +63,43 @@ class TestResolveJobs:
             resolve_jobs(ceiling + 1)
 
 
-class TestParallelMap:
+def _keys(items):
+    return [(f"abs:{item}", f"fp-{item}") for item in items]
+
+
+def _no_recompute(item):  # pragma: no cover - failure path
+    raise AssertionError(f"journaled item {item} was recomputed")
+
+
+class TestJournaledMap:
     def test_serial_path_for_single_job(self):
-        assert parallel_map(abs, [-1, 2, -3], jobs=1) == [1, 2, 3]
+        items = [-1, 2, -3]
+        assert journaled_map(abs, items, _keys(items), jobs=1) == ([1, 2, 3], 0)
 
     def test_pool_preserves_order(self):
-        assert parallel_map(abs, [-5, -4, -3, -2], jobs=2) == [5, 4, 3, 2]
+        items = [-5, -4, -3, -2]
+        assert journaled_map(abs, items, _keys(items), jobs=2) == ([5, 4, 3, 2], 0)
+
+    def test_journaled_items_are_reused(self, tmp_path):
+        items = [-5, -4, -3]
+        with RunJournal(tmp_path / "run") as journal:
+            journaled_map(abs, items[:2], _keys(items[:2]), journal=journal)
+        with RunJournal(tmp_path / "run") as journal:
+            results, reused = journaled_map(
+                abs, items, _keys(items), journal=journal, jobs=2
+            )
+            assert (results, reused) == ([5, 4, 3], 2)
+            # Now every item is journaled: nothing is recomputed.
+            assert journaled_map(
+                _no_recompute, items, _keys(items), journal=journal, jobs=2
+            ) == ([5, 4, 3], 3)
+
+    def test_dict_results_are_inline_payloads(self, tmp_path):
+        with RunJournal(tmp_path / "run") as journal:
+            journaled_map(copy.copy, [{"a": 1}, (1, 2)], _keys("xy"), journal=journal)
+            inline, pickled = journal.entries()
+        assert (inline.payload, inline.artifact) == ({"a": 1}, None)
+        assert pickled.payload is None and pickled.artifact.startswith("artifacts/")
 
 
 class TestTable2BitIdentity:
