@@ -71,11 +71,11 @@ from repro.obs.spans import WallSpans
 from repro.perf.executor import (
     MIN_TASK_TIMEOUT,
     ExecutorDegradation,
+    SerialSweepExecutor,
     SupervisedPoolExecutor,
     SweepExecutor,
     SweepTask,
     TaskResult,
-    _ensure_worker_cache,
 )
 from repro.robustness.retry import RetryPolicy
 
@@ -262,7 +262,6 @@ class DistributedExecutor(SweepExecutor):
         self._host_liveness = TaskLiveness(clock=clock)  # keyed by host_id
         self._events: list[ExecutorDegradation] = []
         self._inner: Optional[SweepExecutor] = None
-        self._serial_mode = False
         self._hosts_awaited = False
         self._closed = False
         self.host_losses = 0
@@ -313,11 +312,9 @@ class DistributedExecutor(SweepExecutor):
         while not results and self.outstanding:
             if self._inner is not None:
                 results.extend(self._poll_inner(timeout))
-            elif self._serial_mode:
-                results.extend(self._serial_step())
             else:
                 self._await_hosts()
-                if self._inner is not None or self._serial_mode:
+                if self._inner is not None:
                     continue
                 self._service(self._tick)
                 self._expire_host_leases()
@@ -401,7 +398,7 @@ class DistributedExecutor(SweepExecutor):
                 self._accept_connection()
             else:
                 self._read_host(key.data)
-            if self._inner is not None or self._serial_mode:
+            if self._inner is not None:
                 return
 
     def _read_host(self, lease: HostLease) -> None:
@@ -577,7 +574,7 @@ class DistributedExecutor(SweepExecutor):
             token = self._tickets.get(ticket)
             if token is not None and token in self._open:
                 self._requeue(token, reason)
-        if self._inner is not None or self._serial_mode:
+        if self._inner is not None:
             return
         if self.host_losses > self.max_host_losses:
             self._degrade(
@@ -608,7 +605,7 @@ class DistributedExecutor(SweepExecutor):
                 f"lease expired (silent for {self.lease_timeout:.1f}s)",
             )
             self.metrics.counter("dist_lease_expirations").inc()
-            if self._inner is not None or self._serial_mode:
+            if self._inner is not None:
                 return
 
     def _expire_overdue_tasks(self) -> None:
@@ -635,7 +632,7 @@ class DistributedExecutor(SweepExecutor):
                 token = self._tickets.get(ticket)
                 if token is not None and token in self._open:
                     self._requeue(token, "task deadline expired")
-            if self._inner is not None or self._serial_mode:
+            if self._inner is not None:
                 return
 
     # ------------------------------------------------------------- dispatch
@@ -678,7 +675,7 @@ class DistributedExecutor(SweepExecutor):
                 # leased to it); put the token back for another host.
                 del self._tickets[ticket]
                 self._dispatches[token] = dispatch
-                if self._inner is not None or self._serial_mode:
+                if self._inner is not None:
                     return  # the failed send tripped the cascade
                 self._pending.append((token, 0.0))
                 continue
@@ -754,14 +751,12 @@ class DistributedExecutor(SweepExecutor):
                 redispatch_policy=self._policy,
                 spans=self._spans,
             )
-            for task in self._open.values():
-                self._inner.submit(task)
         else:
-            self._serial_mode = True
-            self._pending = collections.deque(
-                (token, 0.0) for token in self._open
+            self._inner = SerialSweepExecutor(
+                self._task_fn, self._cache_dir, dispatches=self._dispatches
             )
-            _ensure_worker_cache(self._cache_dir)
+        for task in self._open.values():
+            self._inner.submit(task)
 
     def _poll_inner(self, timeout: Optional[float]) -> list[TaskResult]:
         results = []
@@ -771,27 +766,6 @@ class DistributedExecutor(SweepExecutor):
             self.metrics.counter("dist_tasks_completed").inc()
             results.append(result)
         return results
-
-    def _serial_step(self) -> list[TaskResult]:
-        while self._pending:
-            token, _ = self._pending.popleft()
-            task = self._open.pop(token, None)
-            if task is None:
-                continue
-            self._dispatches[token] = self._dispatches.get(token, 0) + 1
-            value = self._task_fn(task.payload())
-            self._completed_fingerprints.add(task_fingerprint(task))
-            self.metrics.counter("dist_tasks_completed").inc()
-            return [
-                TaskResult(
-                    task=task, value=value, dispatches=self._dispatches[token]
-                )
-            ]
-        if self._open:  # pragma: no cover - defensive: open without pending
-            token, task = next(iter(self._open.items()))
-            del self._open[token]
-            return [TaskResult(task=task, value=self._task_fn(task.payload()))]
-        return []
 
     # ------------------------------------------------------------- teardown
     def _shutdown_network(self) -> None:

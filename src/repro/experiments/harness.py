@@ -416,8 +416,8 @@ def evaluate_part_with_retry(
 ) -> tuple[PartOutcome, int]:
     """One evaluation part under the options' retry policy.
 
-    The unit of resilience shared by the serial and ``--jobs`` sweep
-    paths: attempt ``k`` re-runs the part with ``fault_attempt=k`` (so a
+    The unit of resilience of every Table 2 sweep task, whichever
+    executor runs it: attempt ``k`` re-runs the part with ``fault_attempt=k`` (so a
     transient fault spec can clear), the backoff schedule is keyed by
     ``benchmark:part`` (deterministic per seed), and the error that
     finally escapes carries ``part``, ``attempts``, and
@@ -443,34 +443,3 @@ def evaluate_part_with_retry(
         error.context.setdefault("part", part)
         raise
     return result.value, len(result.attempts)
-
-
-def evaluate_workload_resilient(
-    workload: Workload,
-    options: Optional[EvaluationOptions] = None,
-    cache: Optional[ArtifactCache] = None,
-) -> tuple[Optional[BenchmarkEvaluation], Optional[BenchmarkFailure], int]:
-    """Full evaluation with per-part retries and graceful degradation.
-
-    Returns ``(evaluation, failure, total_attempts)`` where exactly one
-    of ``evaluation`` / ``failure`` is set.  With ``options.retry`` unset
-    this is behaviourally identical to :func:`evaluate_workload` wrapped
-    in the sweep's ``except ReproError`` degradation."""
-    options = options or EvaluationOptions()
-    if cache is None:
-        cache = options.cache if options.cache is not None else ArtifactCache()
-    outcomes: list[PartOutcome] = []
-    total_attempts = 0
-    for part in PARTS:
-        try:
-            outcome, attempts = evaluate_part_with_retry(
-                workload, part, options, cache
-            )
-        except ReproError as error:
-            total_attempts += error.context.get("attempts", 1)
-            return None, BenchmarkFailure.from_error(workload.name, error), (
-                total_attempts
-            )
-        outcomes.append(outcome)
-        total_attempts += attempts
-    return assemble_evaluation(workload.name, outcomes), None, total_attempts

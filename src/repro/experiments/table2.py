@@ -23,21 +23,26 @@ EXPERIMENTS.md.
 from __future__ import annotations
 
 import difflib
+import logging
 import time
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Iterable, Optional, Union
+from typing import TYPE_CHECKING, Any, Iterable, Optional, Union
 
-from repro.errors import ConfigError, ReproError
+from repro.errors import ConfigError
 from repro.experiments.harness import (
+    PARTS,
     BenchmarkEvaluation,
     BenchmarkFailure,
     EvaluationOptions,
-    evaluate_workload_resilient,
+    assemble_evaluation,
 )
 from repro.workloads.spec92 import PAPER_TABLE2, SPEC92
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.robustness.journal import RunJournal
+
+log = logging.getLogger("repro.table2")
 
 
 def _unknown_benchmark(name: str, valid: Iterable[str]) -> ConfigError:
@@ -139,10 +144,15 @@ def run_table2(
     ``options.retry`` grants transient failures a deterministic attempt
     budget first.
 
-    ``options.jobs != 1`` fans the benchmarks and their three runs each
-    out to worker processes (``0`` = one per core) with bit-identical
-    row values and the same degradation contract; ``options.cache``
-    reuses compile/trace artifacts across runs.
+    Every benchmark's three runs are work units on one
+    :class:`~repro.perf.executor.SweepExecutor` loop: run in-process, in
+    order, when ``options.jobs`` resolves to 1, otherwise fanned out to
+    worker processes (``0`` = one per core) or hosts
+    (``options.executor``) with bit-identical row values and the same
+    degradation contract.  A failed row reports the attempts of all
+    three of its runs.  ``options.cache`` collects every run's cache
+    counters, and its directory (if any) reuses compile/trace artifacts
+    across runs.
 
     ``journal`` (a :class:`~repro.robustness.journal.RunJournal` or a
     run-directory path — the CLI's ``--resume``) makes the sweep
@@ -226,7 +236,7 @@ def run_table2(
             spans=spans,
         )
 
-    def record(name: str, outcome, attempts: int, elapsed_s: float = 0.0) -> None:
+    def record(name: str, outcome, attempts: int, elapsed_s: float) -> None:
         if isinstance(outcome, BenchmarkFailure):
             failures_by_name[name] = outcome
             if journal is not None:
@@ -247,45 +257,110 @@ def run_table2(
         if heartbeat is not None:
             heartbeat.note(name)
 
-    def on_event(kind: str, payload: dict) -> None:
-        # Executor incidents (today: a circuit-breaker degradation) are
-        # not rows, but they belong in the durable record of the run.
-        import logging
-
-        logging.getLogger("repro.table2").warning(
-            "sweep executor event %s: %s", kind, payload
+    if pending:
+        from repro.perf.executor import (
+            SerialSweepExecutor,
+            SweepTask,
+            make_sweep_executor,
         )
-        if journal is not None:
-            journal.record_event(kind, payload)
-
-    if options.jobs != 1 and len(pending) > 0:
-        from repro.perf.parallel import run_table2_parallel
-
-        run_table2_parallel(
-            pending, options, on_benchmark=record, on_event=on_event
+        from repro.perf.parallel import (
+            _sweep_interrupted,
+            _sweep_task,
+            resolve_jobs,
+            sweep_signals,
         )
-    else:
-        for name in pending:
-            row_start = time.perf_counter()
+
+        jobs = resolve_jobs(options.jobs)
+        cache = options.cache
+        cache_dir = cache.cache_dir if cache is not None else None
+        # Every part runs on a self-contained serial option set: the
+        # caller's cache object is not shared (each executor slot holds
+        # its own tier over ``cache_dir``), worker-fault injection must
+        # not recurse into the task itself, and the span writer's open
+        # file stays here (distributed workers journal their own span
+        # shards via the task frame).
+        worker_options = replace(
+            options, jobs=1, cache=None, worker_fault_plan=None, spans=None
+        )
+        if jobs == 1:
+            executor = SerialSweepExecutor(_sweep_task, cache_dir)
+        else:
+            executor = make_sweep_executor(
+                options.executor,
+                _sweep_task,
+                jobs,
+                cache_dir,
+                trace_length=options.trace_length,
+                task_timeout=options.task_timeout,
+                redispatch_budget=options.redispatch_budget,
+                worker_fault_plan=options.worker_fault_plan,
+                seed=options.trace_seed,
+                self_check=options.self_check,
+                engine=options.engine,
+                dist_bind=options.dist_host,
+                dist_port=options.dist_port,
+                dist_min_hosts=options.dist_min_hosts,
+                dist_wait_s=options.dist_wait_s,
+                spans=options.spans,
+            )
+        # A benchmark becomes a row (or a failure: the first failed part
+        # in part order) once all three of its parts are home; its
+        # attempts are the sum over those parts.
+        parts: dict[str, dict[str, Any]] = {name: {} for name in pending}
+        attempts_by_name = {name: 0 for name in pending}
+        row_start = time.perf_counter()
+        with executor, sweep_signals():
             try:
-                workload = SPEC92[name]()
-            except ReproError as error:
-                record(
-                    name,
-                    BenchmarkFailure.from_error(name, error),
-                    1,
-                    time.perf_counter() - row_start,
-                )
-                continue
-            evaluation, failure, attempts = evaluate_workload_resilient(
-                workload, options
-            )
-            record(
-                name,
-                failure if failure is not None else evaluation,
-                attempts,
-                time.perf_counter() - row_start,
-            )
+                for name in pending:
+                    for part in PARTS:
+                        executor.submit(SweepTask(name, part, worker_options))
+                while executor.outstanding:
+                    for done in executor.poll():
+                        name, part, payload, attempts, stats_delta = done.value
+                        parts[name][part] = payload
+                        attempts_by_name[name] += attempts
+                        if cache is not None:
+                            cache.stats.merge(stats_delta)
+                        if len(parts[name]) < len(PARTS):
+                            continue
+                        by_part = parts.pop(name)
+                        payloads = [by_part[p] for p in PARTS]
+                        failed = [
+                            p for p in payloads if isinstance(p, BenchmarkFailure)
+                        ]
+                        outcome = (
+                            failed[0]
+                            if failed
+                            else assemble_evaluation(name, payloads)
+                        )
+                        record(
+                            name,
+                            outcome,
+                            attempts_by_name[name],
+                            time.perf_counter() - row_start,
+                        )
+                        row_start = time.perf_counter()
+            except (KeyboardInterrupt, BrokenProcessPool) as error:
+                raise _sweep_interrupted(
+                    type(error).__name__, executor.cancel()
+                ) from None
+        # Executor incidents (a circuit-breaker degradation; the
+        # distributed cascade can step down more than once) are not rows,
+        # but they belong in the durable record of the run.
+        for degradation in executor.degradations:
+            event = degradation.as_dict()
+            log.warning("sweep executor event executor_degradation: %s", event)
+            if journal is not None:
+                journal.record_event("executor_degradation", event)
+        registry = getattr(executor, "metrics", None)
+        if spans is not None and registry is not None:
+            # Final executor metrics — including the distributed
+            # coordinator's per-host labeled series — land next to the
+            # span files, in the Prometheus text format 'repro stats'
+            # also speaks.
+            from repro.obs.export import write_prometheus
+
+            write_prometheus(spans.run_dir / "executor-metrics.prom", registry)
 
     if spans is not None:
         from repro.obs.spans import evaluation_spans, sweep_span

@@ -12,13 +12,14 @@ deterministically reproducible inputs.  This package exploits both axes:
 * :mod:`repro.perf.cache` — the content-keyed artifact cache for
   compilation results and generated traces, with in-memory and on-disk
   tiers plus hit/miss counters;
-* :mod:`repro.perf.parallel` — the process-pool sweep engine behind
-  ``--jobs N``: Table 2's executor-based sweep, and ``journaled_map``,
-  the one reuse/fan-out/journal loop every other sweep (ablations,
-  Figure 6, reassignment, the gym) runs through;
-* :mod:`repro.perf.executor` — the ``SweepExecutor`` interface under
-  the sweep engine: the trusting process pool plus the supervised pool
-  (per-task deadlines, re-dispatch of lost tasks, circuit breaker);
+* :mod:`repro.perf.parallel` — the sweep fan-out behind ``--jobs N``:
+  Table 2's work unit, and ``journaled_map``, the one
+  reuse/fan-out/journal loop every other sweep (ablations, Figure 6,
+  reassignment, the gym) runs through;
+* :mod:`repro.perf.executor` — the ``SweepExecutor`` interface Table 2
+  sweeps run on: the in-process serial executor, the trusting process
+  pool, and the supervised pool (per-task deadlines, re-dispatch of
+  lost tasks, circuit breaker);
 * :mod:`repro.perf.bench` — the ``repro bench`` harness that times
   serial vs parallel vs cached sweeps and records ``BENCH_table2.json``.
 
@@ -40,10 +41,10 @@ _EXPORTS = {
     "trace_key": "repro.perf.cache",
     "journaled_map": "repro.perf.parallel",
     "resolve_jobs": "repro.perf.parallel",
-    "run_table2_parallel": "repro.perf.parallel",
     "EXECUTOR_KINDS": "repro.perf.executor",
     "ExecutorDegradation": "repro.perf.executor",
     "PoolSweepExecutor": "repro.perf.executor",
+    "SerialSweepExecutor": "repro.perf.executor",
     "SupervisedPoolExecutor": "repro.perf.executor",
     "SweepExecutor": "repro.perf.executor",
     "SweepTask": "repro.perf.executor",

@@ -39,7 +39,7 @@ import pickle
 import tempfile
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 from repro.perf.fingerprint import fingerprint
 
@@ -125,8 +125,22 @@ class ArtifactCache:
                 the cache in-memory only.  Created on first write.
         """
         self._memory: dict[str, Any] = {}
+        self._workloads: dict[str, Any] = {}
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
         self.stats = CacheStats()
+
+    def workload(self, name: str, build: Callable[[], Any]) -> Any:
+        """``build()`` for workload ``name``, once per cache.
+
+        Memory-only and uncounted: building is cheap, but the parts of
+        one benchmark evaluated in one process share the workload by
+        reference — as they share its compile and trace — so the
+        evaluation they assemble pickles exactly as one built from a
+        single workload object.
+        """
+        if name not in self._workloads:
+            self._workloads[name] = build()
+        return self._workloads[name]
 
     # ------------------------------------------------------------- internals
     def _path(self, kind: str, key: str) -> Path:

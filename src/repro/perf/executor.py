@@ -16,6 +16,9 @@ interface:
   every task is a pure function of its ``(benchmark, part, options)``
   payload — *which* worker computes it, or how many times, cannot
   change the value.
+* :class:`SerialSweepExecutor` — tasks in-process, in submission
+  order, one per poll, with one artifact cache per benchmark: the
+  ``--jobs 1`` sweep and the last step of every fallback cascade.
 * :class:`PoolSweepExecutor` — the existing
   :class:`~concurrent.futures.ProcessPoolExecutor` path, unchanged
   semantics (a dead worker still breaks the pool; this is the fast,
@@ -32,8 +35,8 @@ interface:
   global death budget — a circuit breaker trips: the pool is torn
   down, an :class:`ExecutorDegradation` event is recorded (the
   ``BenchmarkFailure`` of the executor layer — an event, not a crash),
-  and the remaining tasks finish serially in-process, so the sweep
-  *always* completes with the same rows.
+  and the open tasks are handed to a :class:`SerialSweepExecutor`, so
+  the sweep *always* completes with the same rows.
 
 Failure model (what the supervisor treats as a lost task):
 
@@ -159,13 +162,6 @@ def _task_cache(cache: Optional[ArtifactCache]):
         yield
     finally:
         _WORKER_CACHE = previous
-
-
-def _ensure_worker_cache(cache_dir) -> None:
-    """Give the *parent* process a task cache for degraded serial runs."""
-    global _WORKER_CACHE
-    if _WORKER_CACHE is None:
-        _WORKER_CACHE = ArtifactCache(cache_dir)
 
 
 def _mp_context():
@@ -301,6 +297,68 @@ class SweepExecutor:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
+
+
+class SerialSweepExecutor(SweepExecutor):
+    """Tasks run in-process, in submission order, one per :meth:`poll`.
+
+    The ``--jobs 1`` sweep and the last step of every fallback cascade.
+    Each task runs under :func:`_task_cache` with one
+    ``ArtifactCache(cache_dir)`` per benchmark: a benchmark's parts
+    share its workload, compile and trace, and the cache is dropped
+    after the benchmark's last queued part, so its artifacts are
+    released before the caller journals the row.
+
+    ``dispatches`` is the per-token count of dispatches already spent
+    elsewhere; a degrading executor passes its own, so
+    :attr:`TaskResult.dispatches` keeps counting across the step down.
+    """
+
+    def __init__(
+        self,
+        task_fn: Callable[[tuple], Any],
+        cache_dir=None,
+        *,
+        dispatches: Optional[dict[str, int]] = None,
+    ) -> None:
+        self._task_fn = task_fn
+        self._cache_dir = cache_dir
+        self._dispatches = dispatches if dispatches is not None else {}
+        self._queue: collections.deque = collections.deque()
+        self._cache: Optional[ArtifactCache] = None
+
+    def submit(self, task: SweepTask) -> None:
+        self._queue.append(task)
+
+    @property
+    def outstanding(self) -> int:
+        return len(self._queue)
+
+    def poll(self, timeout: Optional[float] = None) -> list[TaskResult]:
+        if not self._queue:
+            return []
+        task = self._queue[0]  # still outstanding while it runs
+        if self._cache is None:
+            self._cache = ArtifactCache(self._cache_dir)
+        with _task_cache(self._cache):
+            value = self._task_fn(task.payload())
+        self._queue.popleft()
+        if not self._queue or self._queue[0].benchmark != task.benchmark:
+            self._cache = None
+        token = task.token
+        self._dispatches[token] = self._dispatches.get(token, 0) + 1
+        return [
+            TaskResult(task=task, value=value, dispatches=self._dispatches[token])
+        ]
+
+    def cancel(self) -> int:
+        cancelled = len(self._queue)
+        self.close()
+        return cancelled
+
+    def close(self) -> None:
+        self._queue.clear()
+        self._cache = None
 
 
 class PoolSweepExecutor(SweepExecutor):
@@ -467,6 +525,8 @@ class SupervisedPoolExecutor(SweepExecutor):
         self._worker_seq = itertools.count(1)
         self._liveness = TaskLiveness(clock=clock)  # keyed by ticket
         self._wall = WallSpans(spans, clock=clock)
+        #: The in-process executor the circuit breaker hands open tasks to.
+        self._inner: Optional[SerialSweepExecutor] = None
         self.worker_deaths = 0
         self.redispatches = 0
         self._closed = False
@@ -558,9 +618,11 @@ class SupervisedPoolExecutor(SweepExecutor):
             )
         self._open[token] = task
         self._dispatches.setdefault(token, 0)
+        if self._inner is not None:
+            self._inner.submit(task)
+            return
         self._pending.append((token, 0.0))
-        if self.degradation is None:
-            self._dispatch_ready()
+        self._dispatch_ready()
 
     @property
     def outstanding(self) -> int:
@@ -570,8 +632,11 @@ class SupervisedPoolExecutor(SweepExecutor):
         results: list[TaskResult] = []
         started = self._clock()
         while not results and self.outstanding:
-            if self.degradation is not None:
-                results.extend(self._serial_step())
+            if self._inner is not None:
+                for result in self._inner.poll():
+                    del self._open[result.task.token]
+                    self.metrics.counter("executor_tasks_completed").inc()
+                    results.append(result)
                 continue
             self._reap_dead_workers()
             if self.degradation is not None:
@@ -596,6 +661,8 @@ class SupervisedPoolExecutor(SweepExecutor):
         cancelled = len(self._open)
         self._open.clear()
         self._pending.clear()
+        if self._inner is not None:
+            self._inner.cancel()
         self._shutdown_workers(kill=True)
         self._wall.close(ok=False, reason="cancelled")
         return cancelled
@@ -604,6 +671,8 @@ class SupervisedPoolExecutor(SweepExecutor):
         if self._closed:
             return
         self._closed = True
+        if self._inner is not None:
+            self._inner.close()
         self._shutdown_workers(kill=False)
         self._wall.close(ok=False, reason="closed")
         self._results.close()
@@ -721,37 +790,12 @@ class SupervisedPoolExecutor(SweepExecutor):
         # Every open task — queued or formerly in flight — now runs
         # serially in-process; fault injection lives in the workers, so
         # the degraded path always completes.
-        self._pending = collections.deque(
-            (token, 0.0) for token in self._open
+        self._pending.clear()
+        self._inner = SerialSweepExecutor(
+            self._task_fn, self._cache_dir, dispatches=self._dispatches
         )
-        _ensure_worker_cache(self._cache_dir)
-
-    def _serial_step(self) -> list[TaskResult]:
-        while self._pending:
-            token, _ = self._pending.popleft()
-            task = self._open.pop(token, None)
-            if task is None:
-                continue
-            self._dispatches[token] = self._dispatches.get(token, 0) + 1
-            value = self._task_fn(task.payload())
-            self.metrics.counter("executor_tasks_completed").inc()
-            return [
-                TaskResult(
-                    task=task, value=value, dispatches=self._dispatches[token]
-                )
-            ]
-        if self._open:  # pragma: no cover - defensive: open without pending
-            token, task = next(iter(self._open.items()))
-            del self._open[token]
-            self._dispatches[token] = self._dispatches.get(token, 0) + 1
-            return [
-                TaskResult(
-                    task=task,
-                    value=self._task_fn(task.payload()),
-                    dispatches=self._dispatches[token],
-                )
-            ]
-        return []
+        for task in self._open.values():
+            self._inner.submit(task)
 
 
 def make_sweep_executor(
@@ -840,6 +884,7 @@ __all__ = [
     "SELF_CHECK_TIMEOUT_FACTOR",
     "ExecutorDegradation",
     "PoolSweepExecutor",
+    "SerialSweepExecutor",
     "SupervisedPoolExecutor",
     "SweepExecutor",
     "SweepTask",

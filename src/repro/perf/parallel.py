@@ -1,20 +1,23 @@
-"""Process-pool parallel sweep engine (the ``--jobs N`` machinery).
+"""Sweep fan-out: the ``--jobs`` machinery and the Table 2 work unit.
 
 The Section 4 methodology is independent across benchmarks *and* across
 the three runs per benchmark, so a Table 2 sweep decomposes into
-``len(benchmarks) * 3`` work units.  Each unit is re-derived inside the
-worker from ``(benchmark name, part, options)`` — every stage is seeded
-and deterministic, so results are bit-identical to the serial path, and
-nothing but small inputs and final results crosses the process boundary.
+``len(benchmarks) * 3`` work units, :func:`_sweep_task`.  Each unit is
+re-derived wherever it runs from ``(benchmark name, part, options)`` —
+every stage is seeded and deterministic, so results are bit-identical
+however they are scheduled, and nothing but small inputs and final
+results crosses a process boundary.
 
 Every other sweep — the ablations, the queue-size study, the Figure 6
 threshold walk-through, the reassignment demo, and the design-space
 gym — is a list of independent seeded points, and runs through one
 function, :func:`journaled_map`: reuse each journaled point, compute
 the rest (in-process or on a worker pool), and journal each result the
-moment it lands.  Table 2 keeps its own executor-based path
-(:func:`run_table2_parallel`) for its failure-record, replay-bundle,
-heartbeat and span contract.
+moment it lands.  Table 2 has one sweep loop, in
+:func:`repro.experiments.table2.run_table2`: it runs :func:`_sweep_task`
+on a :class:`~repro.perf.executor.SweepExecutor` — the in-process
+:class:`~repro.perf.executor.SerialSweepExecutor` for ``--jobs 1`` —
+for its failure-record, replay-bundle, heartbeat and span contract.
 
 Design notes:
 
@@ -59,27 +62,13 @@ import signal
 from concurrent.futures import FIRST_COMPLETED, wait
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
-from dataclasses import replace
 from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
 
 from repro.errors import ConfigError, ReproError, SweepInterrupted
-from repro.experiments.harness import (
-    PARTS,
-    BenchmarkEvaluation,
-    BenchmarkFailure,
-    EvaluationOptions,
-    PartOutcome,
-    assemble_evaluation,
-    evaluate_part_with_retry,
-)
+from repro.experiments import harness
+from repro.experiments.harness import BenchmarkFailure, EvaluationOptions
 from repro.perf.cache import ArtifactCache
-from repro.perf.executor import (
-    SweepTask,
-    _pool,
-    _task_cache,
-    _worker_cache,
-    make_sweep_executor,
-)
+from repro.perf.executor import _pool, _task_cache, _worker_cache
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.robustness.journal import RunJournal
@@ -230,14 +219,14 @@ def journaled_map(
 
 # ------------------------------------------------------------- Table 2 sweep
 def _sweep_task(item: tuple[str, str, EvaluationOptions]):
-    """One (benchmark, part) unit, run inside a worker process.
+    """One Table 2 ``(benchmark, part)`` unit, on whichever executor slot
+    runs it (a worker process, a remote host, or in-process).
 
     Returns ``(name, part, outcome_or_failure, attempts, stats_delta)``;
-    the options' retry policy runs here, in the worker, and a
-    :class:`ReproError` that survives it becomes a
-    :class:`BenchmarkFailure` here too, so context (including the
-    failing part, attempt count, and failure class) survives the trip
-    home.
+    the options' retry policy runs here, and a :class:`ReproError` that
+    survives it becomes a :class:`BenchmarkFailure` here too, so context
+    (including the failing part, attempt count, and failure class)
+    survives the trip home.
     """
     from repro.workloads.spec92 import SPEC92
 
@@ -245,126 +234,12 @@ def _sweep_task(item: tuple[str, str, EvaluationOptions]):
     cache = _worker_cache()
     baseline = cache.stats.snapshot()
     try:
-        workload = SPEC92[name]()
-        outcome, attempts = evaluate_part_with_retry(workload, part, options, cache)
+        workload = cache.workload(name, SPEC92[name])
+        outcome, attempts = harness.evaluate_part_with_retry(
+            workload, part, options, cache
+        )
         return name, part, outcome, attempts, cache.stats.delta(baseline)
     except ReproError as error:
         failure = BenchmarkFailure.from_error(name, error)
         attempts = error.context.get("attempts", 1)
         return name, part, failure, attempts, cache.stats.delta(baseline)
-
-
-def run_table2_parallel(
-    names: Sequence[str],
-    options: EvaluationOptions,
-    on_benchmark: Optional[Callable[[str, Any, int], None]] = None,
-    on_event: Optional[Callable[[str, dict], None]] = None,
-) -> tuple[dict[str, BenchmarkEvaluation], list[BenchmarkFailure]]:
-    """Fan a Table 2 sweep out to worker processes.
-
-    Returns ``(evaluations by name, failures)`` with exactly the rows and
-    failure records the serial sweep would produce: a benchmark with any
-    failed part yields one failure (the first in part order — the order
-    the serial methodology hits them) and no row.
-
-    ``on_benchmark(name, evaluation_or_failure, attempts)`` fires in the
-    parent the moment a benchmark's three parts are all home — the
-    journaling hook: each finished row is durable before the sweep moves
-    on, so a kill at any point loses at most in-flight benchmarks.
-    Interrupts raise :class:`~repro.errors.SweepInterrupted` after every
-    finished row has been delivered.
-
-    ``on_event(kind, payload)`` fires for executor-level incidents that
-    are not row outcomes — today only ``"executor_degradation"``, when
-    the supervised executor's circuit breaker abandoned its workers and
-    finished the sweep serially (the rows are still bit-identical; the
-    event is the audit trail).
-    """
-    jobs = resolve_jobs(options.jobs)
-    cache = options.cache
-    cache_dir = cache.cache_dir if cache is not None else None
-    # Workers get a self-contained serial option set; the parent-side
-    # cache object is not shipped (each worker holds its own tier),
-    # worker-fault injection must not recurse into the task itself, and
-    # the span writer's open file stays in the parent (distributed
-    # workers journal their own span shards via the task frame).
-    worker_options = replace(
-        options, jobs=1, cache=None, worker_fault_plan=None, spans=None
-    )
-    tasks = [
-        SweepTask(benchmark=name, part=part, options=worker_options)
-        for name in names
-        for part in PARTS
-    ]
-
-    results: dict[tuple[str, str], Any] = {}
-    attempts_by_name: dict[str, int] = {name: 0 for name in names}
-    evaluations: dict[str, BenchmarkEvaluation] = {}
-    failures_by_name: dict[str, BenchmarkFailure] = {}
-
-    def _finish_benchmark(name: str) -> None:
-        payloads = [results[(name, part)] for part in PARTS]
-        failed = [p for p in payloads if isinstance(p, BenchmarkFailure)]
-        if failed:
-            outcome: Any = failed[0]
-            failures_by_name[name] = failed[0]
-        else:
-            outcomes: list[PartOutcome] = payloads
-            outcome = assemble_evaluation(name, outcomes)
-            evaluations[name] = outcome
-        if on_benchmark is not None:
-            on_benchmark(name, outcome, attempts_by_name[name])
-
-    executor = make_sweep_executor(
-        options.executor,
-        _sweep_task,
-        jobs,
-        cache_dir,
-        trace_length=options.trace_length,
-        task_timeout=options.task_timeout,
-        redispatch_budget=options.redispatch_budget,
-        worker_fault_plan=options.worker_fault_plan,
-        seed=options.trace_seed,
-        self_check=options.self_check,
-        engine=options.engine,
-        dist_bind=options.dist_host,
-        dist_port=options.dist_port,
-        dist_min_hosts=options.dist_min_hosts,
-        dist_wait_s=options.dist_wait_s,
-        spans=options.spans,
-    )
-    with executor, sweep_signals():
-        try:
-            for task in tasks:
-                executor.submit(task)
-            while executor.outstanding:
-                for task_result in executor.poll():
-                    name, part, payload, attempts, stats_delta = task_result.value
-                    results[(name, part)] = payload
-                    attempts_by_name[name] += attempts
-                    if cache is not None:
-                        cache.stats.merge(stats_delta)
-                    if all((name, p) in results for p in PARTS):
-                        _finish_benchmark(name)
-        except (KeyboardInterrupt, BrokenProcessPool) as error:
-            raise _sweep_interrupted(
-                type(error).__name__, executor.cancel()
-            ) from None
-    if on_event is not None:
-        # The distributed coordinator's cascade can degrade more than
-        # once (remote -> supervised -> serial); journal every step.
-        for degradation in executor.degradations:
-            on_event("executor_degradation", degradation.as_dict())
-    registry = getattr(executor, "metrics", None)
-    if options.spans is not None and registry is not None:
-        # Final executor metrics — including the distributed
-        # coordinator's per-host labeled series — land next to the span
-        # files, in the Prometheus text format 'repro stats' also speaks.
-        from repro.obs.export import write_prometheus
-
-        write_prometheus(
-            options.spans.run_dir / "executor-metrics.prom", registry
-        )
-
-    failures = [failures_by_name[n] for n in names if n in failures_by_name]
-    return evaluations, failures

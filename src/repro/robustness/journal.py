@@ -290,7 +290,14 @@ class RunJournal:
         elapsed_s: float = 0.0,
     ) -> JournalEntry:
         """Journal a completed row; ``artifact_value`` is pickled durably
-        to ``artifacts/`` and referenced by relative path."""
+        to ``artifacts/`` and referenced by relative path.
+
+        For Table 2 rows (completed or failed) ``elapsed_s`` is the wall
+        time the row accounts for in its sweep: seconds from the previous
+        row's record (or the start of the sweep loop) to this row's
+        completion.  On a serial sweep that is the row's own compute
+        time; under ``--jobs`` it is the wait between row completions.
+        """
         artifact = None
         if artifact_value is not None:
             artifact = f"artifacts/{_slug(key)}.pkl"

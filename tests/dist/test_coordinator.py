@@ -185,6 +185,8 @@ class TestDegradationCascade:
         results = _run_all(ex, _tasks(3))
         assert len(results) == 3
         assert [d.reason for d in ex.degradations] == ["no-hosts"]
+        assert all(r.dispatches == 1 for r in results.values())
+        assert ex.metrics.snapshot()["dist_tasks_completed"] == 3
 
 
 class TestHostFaults:

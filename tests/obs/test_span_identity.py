@@ -21,6 +21,7 @@ import repro
 from repro.experiments.harness import EvaluationOptions
 from repro.experiments.table2 import run_table2
 from repro.obs.spans import SpanWriter, load_run_spans, split_spans
+from repro.robustness.faultinject import FaultPlan, FaultSpec
 from repro.robustness.journal import RunJournal, merge_journals
 
 TL = 600
@@ -78,6 +79,22 @@ class TestJobsIdentity:
     def test_pool_sweep_is_bit_identical(self, tmp_path, serial_reference):
         _run(tmp_path, jobs=2)
         assert _merged_spans(tmp_path, tmp_path / "merged") == serial_reference
+
+    def test_failed_row_spans_are_bit_identical(self, tmp_path):
+        """A persistently failing part: the failed row's task span counts
+        the attempts of all three parts, serially and under --jobs."""
+        plan = FaultPlan(
+            specs=(FaultSpec(kind="truncate_trace", benchmark="ora",
+                             part="single"),)
+        )
+        merged = {}
+        for shape, jobs in (("serial", 1), ("pool", 2)):
+            result = _run(tmp_path / shape, jobs=jobs, fault_plan=plan)
+            assert [f.benchmark for f in result.failures] == ["ora"]
+            merged[shape] = _merged_spans(
+                tmp_path / shape, tmp_path / shape / "merged"
+            )
+        assert merged["pool"] == merged["serial"]
 
 
 class TestKillResumeIdentity:

@@ -5,11 +5,14 @@ import pytest
 from repro.errors import ConfigError
 from repro.experiments.harness import EvaluationOptions
 from repro.experiments.table2 import run_table2
+from repro.perf.cache import ArtifactCache
 from repro.perf.executor import (
     MIN_TASK_TIMEOUT,
     PoolSweepExecutor,
+    SerialSweepExecutor,
     SupervisedPoolExecutor,
     SweepTask,
+    _worker_cache,
     default_task_timeout,
     make_sweep_executor,
 )
@@ -25,6 +28,12 @@ def _echo_task(payload):
     """Module-level task function (workers import it by name)."""
     name, part, options = payload
     return (name, part, f"value:{name}:{part}", 1, None)
+
+
+def _cache_task(payload):
+    """Reports the artifact cache the task ran under."""
+    name, part, options = payload
+    return (name, part, _worker_cache(), 1, None)
 
 
 def _run_all(executor, tasks):
@@ -53,6 +62,46 @@ class TestPoolExecutor:
         pool = PoolSweepExecutor(_echo_task, jobs=2)
         _run_all(pool, _tasks(2))
         assert pool.degradation is None
+
+
+class TestSerialExecutor:
+    def test_runs_in_submission_order_one_per_poll(self):
+        serial = SerialSweepExecutor(_echo_task)
+        for task in _tasks(3):
+            serial.submit(task)
+        order = []
+        while serial.outstanding:
+            results = serial.poll()
+            assert len(results) == 1
+            order.append(results[0].task.token)
+        assert order == ["b0:single", "b1:single", "b2:single"]
+        assert serial.poll() == []
+
+    def test_one_cache_per_benchmark(self, tmp_path):
+        tasks = [
+            SweepTask(benchmark="b0", part="single"),
+            SweepTask(benchmark="b0", part="dual_none"),
+            SweepTask(benchmark="b1", part="single"),
+        ]
+        results = _run_all(SerialSweepExecutor(_cache_task, tmp_path), tasks)
+        caches = [results[task.token].value[2] for task in tasks]
+        assert caches[0] is caches[1]
+        assert caches[2] is not caches[0]
+        assert all(cache.cache_dir == tmp_path for cache in caches)
+
+    def test_dispatches_continue_an_earlier_count(self):
+        serial = SerialSweepExecutor(_echo_task, dispatches={"b0:single": 2})
+        results = _run_all(serial, _tasks(2))
+        assert results["b0:single"].dispatches == 3
+        assert results["b1:single"].dispatches == 1
+
+    def test_cancel_reports_undelivered_tasks(self):
+        serial = SerialSweepExecutor(_echo_task)
+        for task in _tasks(3):
+            serial.submit(task)
+        serial.poll()
+        assert serial.cancel() == 2
+        assert serial.outstanding == 0
 
 
 class TestSupervisedHappyPath:
@@ -139,6 +188,8 @@ class TestCircuitBreaker:
         results = _run_all(sup, _tasks(3))
         assert len(results) == 3  # every task still delivered
         assert results["b0:single"].value[2] == "value:b0:single"
+        # Two lost dispatches, then the serial run: the count carries on.
+        assert results["b0:single"].dispatches == 3
         assert sup.degradation is not None
         assert sup.degradation.reason == "circuit-breaker"
         assert "budget 1 exhausted" in sup.degradation.detail
@@ -192,6 +243,36 @@ class TestCircuitBreaker:
         reopened = RunJournal(tmp_path)
         kinds = [event.get("kind") for event in reopened.events]
         assert "executor_degradation" in kinds
+
+    def test_each_degraded_sweep_caches_into_its_own_directory(self, tmp_path):
+        # The serial fallback must use the sweep's own disk cache, not
+        # one left behind by an earlier degraded sweep in this process.
+        plan = FaultPlan(
+            specs=(FaultSpec(kind="worker_kill", benchmark="compress",
+                             part="single"),)
+        )
+        written = {}
+        for sweep in ("first", "second"):
+            cache = ArtifactCache(tmp_path / sweep)
+            degraded = run_table2(
+                ["compress"],
+                EvaluationOptions(
+                    trace_length=TL,
+                    jobs=2,
+                    executor="supervised",
+                    task_timeout=60.0,
+                    redispatch_budget=0,
+                    worker_fault_plan=plan,
+                    heartbeat_interval=None,
+                    cache=cache,
+                ),
+            )
+            assert degraded.failures == []
+            files = sorted(p.name for p in (tmp_path / sweep).glob("*.pkl"))
+            assert files
+            assert cache.stats.disk_writes >= len(files)
+            written[sweep] = files
+        assert written["second"] == written["first"]
 
 
 class TestAcceptanceWorkerKill:

@@ -22,24 +22,26 @@ class TestSweepInterrupted:
     def test_exit_code_is_130(self):
         assert SweepInterrupted("stopped").exit_code == 130
 
-    def test_mid_sweep_interrupt_converts_and_preserves_rows(self, tmp_path):
+    def test_mid_sweep_interrupt_converts_and_preserves_rows(
+        self, tmp_path, monkeypatch
+    ):
         # A KeyboardInterrupt surfacing anywhere inside the fan-out loop
-        # (here: from the per-benchmark completion callback) must shut
-        # the pool down and come back typed, with earlier rows delivered.
-        from repro.perf.parallel import run_table2_parallel
-
+        # (here: from journaling the first finished row) must shut the
+        # pool down and come back typed, with earlier rows delivered.
         delivered = []
 
-        def boom(name, outcome, attempts):
-            delivered.append(name)
+        def boom(key, *args, **kwargs):
+            delivered.append(key)
             raise KeyboardInterrupt("simulated Ctrl-C")
 
-        with pytest.raises(SweepInterrupted) as info:
-            run_table2_parallel(
-                ["compress", "ora", "tomcatv"],
-                EvaluationOptions(trace_length=400, jobs=2),
-                on_benchmark=boom,
-            )
+        with RunJournal(tmp_path / "run") as journal:
+            monkeypatch.setattr(journal, "record_completed", boom)
+            with pytest.raises(SweepInterrupted) as info:
+                run_table2(
+                    ["compress", "ora", "tomcatv"],
+                    EvaluationOptions(trace_length=400, jobs=2),
+                    journal=journal,
+                )
         assert delivered  # at least one row landed before the interrupt
         assert info.value.context["cause"] == "KeyboardInterrupt"
         assert info.value.exit_code == 130
@@ -51,7 +53,7 @@ sys.path.insert(0, {src!r})
 from repro.cli import main
 main(["table2", "--trace-length", "1200",
       "--benchmarks", "compress", "ora", "tomcatv", "su2cor",
-      "--jobs", "2", "--resume", {run_dir!r}])
+      "--jobs", {jobs!r}, "--resume", {run_dir!r}])
 """
 
 
@@ -77,9 +79,10 @@ def alive(pid):
     not os.path.exists("/proc"), reason="needs /proc for orphan detection"
 )
 class TestSigtermSweep:
-    def test_sigterm_exits_130_no_orphans_journal_resumable(self, tmp_path):
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_sigterm_exits_130_no_orphans_journal_resumable(self, tmp_path, jobs):
         run_dir = tmp_path / "run"
-        driver = DRIVER.format(src=SRC, run_dir=str(run_dir))
+        driver = DRIVER.format(src=SRC, run_dir=str(run_dir), jobs=jobs)
         proc = subprocess.Popen(
             [sys.executable, "-c", driver],
             stdout=subprocess.DEVNULL,

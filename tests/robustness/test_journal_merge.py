@@ -75,9 +75,7 @@ class TestAcceptanceSplitMergeResume:
         def explode(*args, **kwargs):  # pragma: no cover - failure path
             raise AssertionError("merged row was recomputed")
 
-        monkeypatch.setattr(
-            "repro.experiments.table2.evaluate_workload_resilient", explode
-        )
+        monkeypatch.setattr("repro.perf.parallel._sweep_task", explode)
         with RunJournal(merged_dir) as journal:
             resumed = run_table2(BENCHMARKS, options(), journal=journal)
         assert rows_as_tuples(resumed) == reference

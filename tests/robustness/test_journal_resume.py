@@ -86,9 +86,7 @@ class TestResumeBitIdentity:
         def explode(*args, **kwargs):  # pragma: no cover - failure path
             raise AssertionError("journaled row was recomputed")
 
-        monkeypatch.setattr(
-            "repro.experiments.table2.evaluate_workload_resilient", explode
-        )
+        monkeypatch.setattr("repro.perf.parallel._sweep_task", explode)
         with RunJournal(run_dir) as journal:
             resumed = run_table2(BENCHMARKS, options(), journal=journal)
         assert [r.benchmark for r in resumed.rows] == BENCHMARKS
